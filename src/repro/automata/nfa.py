@@ -12,14 +12,14 @@ from collections import deque
 
 from repro import cache as _cache
 from repro import faults as _faults
-from repro import kernels as _kernels
 from repro.errors import ResourceLimit, SolverError
+from repro.kernels.automata import determinize_packed, intersect_packed
 from repro.obs import current_metrics
 
 EPS = None
 """Epsilon transition label."""
 
-# Bounded memoization of the pure automata constructions (repro.cache).
+# Bounded memoization of the automata constructions (repro.cache).
 # Keys are structural fingerprints, so equal automata share results no
 # matter where they were built; values are NFAs, which are immutable by
 # convention, so sharing them between callers is safe.
@@ -220,53 +220,12 @@ class NFA:
         cached = _DETERMINIZE_CACHE.get(key)
         if cached is not _cache.MISSING:
             return cached
-        if _kernels.active() == _kernels.PACKED:
-            # The bitset construction explores in the identical order,
-            # so the result (and hence the cache entry) is structurally
-            # the same NFA the pure loop below would build.
-            from repro.kernels.automata import determinize_packed
-            num_states, transitions, finals = determinize_packed(
-                base, alphabet, deadline)
-            metrics = current_metrics()
-            if metrics.enabled:
-                metrics.observe("nfa.determinize_states", num_states)
-            result = NFA(num_states, transitions, 0, finals)
-            _DETERMINIZE_CACHE.put(key, result)
-            return result
-        start = frozenset([base.initial])
-        index = {start: 0}
-        worklist = deque([start])
-        transitions = []
-        finals = set()
-        state_limit = None if deadline is None \
-            else deadline.automata_state_limit
-        steps = 0
-        while worklist:
-            steps += 1
-            if deadline is not None:
-                # The state guard is exact (an inline compare per state,
-                # the method call only on the way out); the wall-clock
-                # check is amortized over 64 expansions.
-                if state_limit is not None and len(index) > state_limit:
-                    deadline.charge_states(len(index), op="determinization")
-                if not steps & 63 and deadline.expired():
-                    raise ResourceLimit("determinization hit the deadline",
-                                        reason="deadline")
-            current = worklist.popleft()
-            ci = index[current]
-            if current & base.finals:
-                finals.add(ci)
-            for sym in alphabet:
-                nxt = frozenset(t for s in current
-                                for a, t in base._adj[s] if a == sym)
-                if nxt not in index:
-                    index[nxt] = len(index)
-                    worklist.append(nxt)
-                transitions.append((ci, sym, index[nxt]))
+        num_states, transitions, finals = determinize_packed(
+            base, alphabet, deadline)
         metrics = current_metrics()
         if metrics.enabled:
-            metrics.observe("nfa.determinize_states", len(index))
-        result = NFA(len(index), transitions, 0, finals)
+            metrics.observe("nfa.determinize_states", num_states)
+        result = NFA(num_states, transitions, 0, finals)
         _DETERMINIZE_CACHE.put(key, result)
         return result
 
@@ -293,63 +252,14 @@ class NFA:
         cached = _INTERSECT_CACHE.get(key)
         if cached is not _cache.MISSING:
             return cached
-        if _kernels.active() == _kernels.PACKED:
-            from repro.kernels.automata import intersect_packed
-            num_states, transitions, finals = intersect_packed(a, b, deadline)
-            metrics = current_metrics()
-            if metrics.enabled:
-                metrics.observe("nfa.product_states", num_states)
-            if not num_states:
-                result = NFA.empty()
-            else:
-                result = NFA(num_states, transitions, 0, finals).trim()
-            _INTERSECT_CACHE.put(key, result)
-            return result
-        index = {}
-        transitions = []
-        finals = []
-
-        def state_of(p, q):
-            if (p, q) not in index:
-                index[(p, q)] = len(index)
-            return index[(p, q)]
-
-        start = state_of(a.initial, b.initial)
-        worklist = deque([(a.initial, b.initial)])
-        visited = {(a.initial, b.initial)}
-        b_by_sym = [dict() for _ in range(b.num_states)]
-        for s in range(b.num_states):
-            for sym, t in b._adj[s]:
-                b_by_sym[s].setdefault(sym, []).append(t)
-        state_limit = None if deadline is None \
-            else deadline.automata_state_limit
-        steps = 0
-        while worklist:
-            steps += 1
-            if deadline is not None:
-                if state_limit is not None and len(index) > state_limit:
-                    deadline.charge_states(len(index), op="product")
-                if not steps & 63 and deadline.expired():
-                    raise ResourceLimit(
-                        "product construction hit the deadline",
-                        reason="deadline")
-            p, q = worklist.popleft()
-            if p in a.finals and q in b.finals:
-                finals.append(index[(p, q)])
-            for sym, pt in a._adj[p]:
-                for qt in b_by_sym[q].get(sym, ()):
-                    if (pt, qt) not in visited:
-                        visited.add((pt, qt))
-                        state_of(pt, qt)
-                        worklist.append((pt, qt))
-                    transitions.append((index[(p, q)], sym, index[(pt, qt)]))
+        num_states, transitions, finals = intersect_packed(a, b, deadline)
         metrics = current_metrics()
         if metrics.enabled:
-            metrics.observe("nfa.product_states", len(index))
-        if not index:
+            metrics.observe("nfa.product_states", num_states)
+        if not num_states:
             result = NFA.empty()
         else:
-            result = NFA(len(index), transitions, start, finals).trim()
+            result = NFA(num_states, transitions, 0, finals).trim()
         _INTERSECT_CACHE.put(key, result)
         return result
 

@@ -42,7 +42,7 @@ COUNTER_KEYS = (
 )
 
 
-def make_config(no_cache=False, no_incremental=False, backend=None):
+def make_config(no_cache=False, no_incremental=False):
     """A solver config honouring the flags, on old codebases too.
 
     ``max_rounds`` is raised from the default 3 so the deep toNum rungs
@@ -52,28 +52,12 @@ def make_config(no_cache=False, no_incremental=False, backend=None):
     kwargs = {"max_rounds": 8,
               "use_caches": not no_cache,
               "use_incremental": not no_incremental}
-    if backend:
-        kwargs["backend"] = backend
-    try:
-        return SolverConfig(**kwargs)
-    except TypeError:
-        # Pre-kernels checkout: no backend knob, the pure loops run.
-        kwargs.pop("backend", None)
     try:
         return SolverConfig(**kwargs)
     except TypeError:
         # The knobs do not exist here (pre-caching checkout): the
         # behaviour is the uncached, non-incremental one regardless.
         return SolverConfig(max_rounds=8)
-
-
-def active_backend(requested=None):
-    """The kernel backend a run with *requested* actually uses."""
-    try:
-        from repro import kernels
-    except ImportError:
-        return "pure"          # pre-kernels checkout
-    return kernels.resolve(requested)
 
 
 def tonum_ladder(power):
@@ -102,7 +86,7 @@ def perf_instances(quick=False):
 
 
 def run_set(no_cache=False, no_incremental=False, reps=1, quick=False,
-            aggregator=None, profiler=None, backend=None):
+            aggregator=None, profiler=None):
     """Run the smoke set; returns the JSON-able result document.
 
     *aggregator* (a ``repro.obs.pipeline.TelemetryAggregator``) collects
@@ -118,7 +102,7 @@ def run_set(no_cache=False, no_incremental=False, reps=1, quick=False,
         status = None
         stats = {}
         for _ in range(max(1, reps)):
-            config = make_config(no_cache, no_incremental, backend)
+            config = make_config(no_cache, no_incremental)
             metrics = Metrics()
             solver = TrauSolver(config=config, metrics=metrics)
             start = time.monotonic()
@@ -152,7 +136,6 @@ def run_set(no_cache=False, no_incremental=False, reps=1, quick=False,
               flush=True)
     return {
         "python": sys.version.split()[0],
-        "backend": active_backend(backend),
         "config": {"no_cache": no_cache, "no_incremental": no_incremental,
                    "reps": reps, "quick": quick},
         "results": results,
@@ -213,9 +196,6 @@ def compare(document, baseline):
     if ratios:
         document["geomean_speedup_all"] = round(_geomean(ratios), 3)
     if suite_ratios:
-        # Per-suite means drive the CI backend-regression gate: a packed
-        # run compared against a pure run of the same commit must not be
-        # slower on any suite.
         document["suite_geomean_speedup"] = {
             suite: round(_geomean(rs), 3)
             for suite, rs in sorted(suite_ratios.items()) if suite}
@@ -232,9 +212,6 @@ def main(argv=None):
                         help="disable the memoization caches")
     parser.add_argument("--no-incremental", action="store_true",
                         help="disable cross-round incremental solving")
-    parser.add_argument("--backend", choices=("auto", "pure", "packed"),
-                        default=None,
-                        help="kernel backend to benchmark (default: auto)")
     parser.add_argument("--reps", type=int, default=1,
                         help="repetitions per instance (best-of)")
     parser.add_argument("--quick", action="store_true",
@@ -277,10 +254,8 @@ def main(argv=None):
             print("perfsmoke: --profile-hot needs the sampling profiler; "
                   "skipping on this checkout", file=sys.stderr)
 
-    print("backend: %s" % active_backend(args.backend), flush=True)
     document = run_set(args.no_cache, args.no_incremental, args.reps,
-                       args.quick, aggregator=aggregator, profiler=profiler,
-                       backend=args.backend)
+                       args.quick, aggregator=aggregator, profiler=profiler)
     if profiler is not None:
         print(profiler.report(args.profile_hot))
         document["profile"] = profiler.to_dict(args.profile_hot)

@@ -1,10 +1,10 @@
-"""Benchmark the validation-workload suite on both kernel backends.
+"""Benchmark the validation-workload suite.
 
 ``python -m repro.bench.validationbench [--count N] [--timeout S]
 [--json PATH]`` runs the ``repro.symbex.validation`` families (currency,
 ISO dates, IPv4, checksummed IDs — the NumSemantics workloads) under the
-PFA solver with the pure and the packed kernels, plus the enumerative
-baseline for reference, and reports per-family outcome counts and times.
+PFA solver, plus the enumerative baseline as an oracle, and reports
+per-solver outcome counts and times.
 """
 
 import argparse
@@ -12,15 +12,13 @@ import json
 
 from repro.baselines import EnumerativeSolver
 from repro.bench.runner import BenchmarkRunner
-from repro.config import SolverConfig
 from repro.core.solver import TrauSolver
 from repro.symbex import validation
 
 
 def solvers():
     return {
-        "pfa-pure": TrauSolver(config=SolverConfig(backend="pure")),
-        "pfa-packed": TrauSolver(config=SolverConfig(backend="packed")),
+        "pfa": TrauSolver(),
         "enumerative": EnumerativeSolver(),
     }
 

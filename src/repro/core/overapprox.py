@@ -1,7 +1,7 @@
 """Over-approximation module (Section 4): prove UNSAT cheaply when possible.
 
 The paper relaxes the input into the decidable chain-free fragment and runs
-a complete procedure for it.  Our backend relaxes further, into linear
+a complete procedure for it.  This module relaxes further, into linear
 integer arithmetic, and decides that directly (DESIGN.md Section 5); the
 relaxation per constraint is
 

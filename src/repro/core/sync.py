@@ -17,13 +17,11 @@ non-epsilon constant, can never fire and are dropped before the Parikh
 formula is built.
 """
 
-from collections import deque
-
 from repro.alphabet import EPSILON
 from repro.automata.nfa import NFA
 from repro.automata.parikh import parikh_formula
-from repro.errors import ResourceLimit
 from repro.core.pfa import count_var
+from repro.kernels.automata import async_product_packed
 from repro.logic.formula import FALSE, TRUE, conj, eq, ge, implies
 from repro.logic.sets import member_of
 from repro.logic.terms import const, var as int_var
@@ -31,9 +29,6 @@ from repro.obs import current_metrics
 
 IDLE = None
 """Marker for the idling side of an asynchronous product transition."""
-
-
-
 
 
 def _value_expr(pa, label):
@@ -76,56 +71,11 @@ def asynchronous_product(pa_left, pa_right, deadline=None):
     the automata sizes, so *deadline* is checked per explored pair and
     :class:`~repro.errors.ResourceLimit` raised when the budget is gone.
     """
-    from repro import kernels as _kernels
-    if _kernels.active() == _kernels.PACKED:
-        from repro.kernels.automata import async_product_packed
-        num_states, transitions, finals = async_product_packed(
-            pa_left, pa_right,
-            lambda lv, rv: _compatible(pa_left, pa_right, lv, rv),
-            IDLE, deadline)
-        product = NFA(num_states, transitions, 0, finals)
-        return product.trim()
-    left, right = pa_left.nfa, pa_right.nfa
-    start = (left.initial, pa_right.initial)
-    goal = (pa_left.final, pa_right.final)
-    index = {start: 0}
-    transitions = []
-    worklist = deque([start])
-
-    def state_of(pair):
-        if pair not in index:
-            index[pair] = len(index)
-            worklist.append(pair)
-        return index[pair]
-
-    state_limit = None if deadline is None else deadline.automata_state_limit
-    steps = 0
-    while worklist:
-        steps += 1
-        if deadline is not None:
-            # The state guard is exact (an inline compare per state, the
-            # method call only on the way out); the wall-clock check is
-            # amortized over 64 expansions.
-            if state_limit is not None and len(index) > state_limit:
-                deadline.charge_states(len(index), op="asynchronous product")
-            if not steps & 63 and deadline.expired():
-                raise ResourceLimit(
-                    "asynchronous product hit the deadline",
-                    reason="deadline")
-        p, q = worklist.popleft()
-        src = index[(p, q)]
-        for lv, pt in left.out_edges(p):
-            for rv, qt in right.out_edges(q):
-                if _compatible(pa_left, pa_right, lv, rv):
-                    transitions.append((src, (lv, rv), state_of((pt, qt))))
-            if _compatible(pa_left, pa_right, lv, IDLE):
-                transitions.append((src, (lv, IDLE), state_of((pt, q))))
-        for rv, qt in right.out_edges(q):
-            if _compatible(pa_left, pa_right, IDLE, rv):
-                transitions.append((src, (IDLE, rv), state_of((p, qt))))
-
-    finals = [index[goal]] if goal in index else []
-    product = NFA(len(index), transitions, 0, finals)
+    num_states, transitions, finals = async_product_packed(
+        pa_left, pa_right,
+        lambda lv, rv: _compatible(pa_left, pa_right, lv, rv),
+        IDLE, deadline)
+    product = NFA(num_states, transitions, 0, finals)
     return product.trim()
 
 

@@ -9,12 +9,6 @@ Every generated problem runs through three engines:
 * ``enum`` — the :class:`~repro.baselines.enumerative.EnumerativeSolver`
   oracle, complete within the generator's bounded domain.
 
-With ``backend="both"`` the PFA pair becomes ``pfa-pure`` / ``pfa-packed``
-— the same incremental pipeline pinned to each kernel backend — so a
-campaign cross-checks the packed kernels against the reference
-implementations on every problem.  ``backend="pure"``/``"packed"`` pins
-the standard pair instead.
-
 Disagreement classes (most severe first):
 
 * ``engine-error`` — an engine raised instead of answering;
@@ -116,7 +110,7 @@ class DifferentialDriver:
 
     def __init__(self, config=None, timeout=5.0, oracle_timeout=None,
                  metamorphic=True, transforms_per_problem=2,
-                 validate_solver=True, backend=None):
+                 validate_solver=True):
         self.config = config or GenConfig()
         self.timeout = timeout
         self.oracle_timeout = oracle_timeout or timeout
@@ -126,34 +120,15 @@ class DifferentialDriver:
         # catch invalid models, which is the point of the exercise; the
         # default keeps production behaviour.
         oracle = EnumerativeSolver(max_total_length=self.config.max_len + 2)
-        if backend == "both":
-            # The kernel-backend cross-check: the same incremental pipeline
-            # on the pure and the packed kernels, plus the oracle.  Any
-            # packed-kernel bug shows up as a sat-unsat split or an
-            # invalid model between the pair.
-            self.engines = {
-                "pfa-pure": TrauSolver(
-                    config=replace(DEFAULT_CONFIG, backend="pure"),
-                    validate=validate_solver),
-                "pfa-packed": TrauSolver(
-                    config=replace(DEFAULT_CONFIG, backend="packed"),
-                    validate=validate_solver),
-                "enum": oracle,
-            }
-            self._primary = "pfa-packed"
-        else:
-            base = DEFAULT_CONFIG
-            if backend:
-                base = replace(base, backend=backend)
-            self.engines = {
-                "pfa-inc": TrauSolver(config=base,
-                                      validate=validate_solver),
-                "pfa-oneshot": TrauSolver(
-                    config=replace(base, use_incremental=False),
-                    validate=validate_solver),
-                "enum": oracle,
-            }
-            self._primary = "pfa-inc"
+        self.engines = {
+            "pfa-inc": TrauSolver(config=DEFAULT_CONFIG,
+                                  validate=validate_solver),
+            "pfa-oneshot": TrauSolver(
+                config=replace(DEFAULT_CONFIG, use_incremental=False),
+                validate=validate_solver),
+            "enum": oracle,
+        }
+        self._primary = "pfa-inc"
 
     # -- engine execution -----------------------------------------------------
 

@@ -59,10 +59,10 @@ CATALOG = {
     "cache.store": "LRUCache.put — memoization insert (any cache)",
     "smt.session.solve": "IncrementalSmtSession.solve — cross-round query",
     "smt.solve": "solve_formula — one-shot DPLL(T) query",
-    "sat.solve": "SatSolver.solve — CDCL search entry",
+    "sat.solve": "PackedSatSolver.solve — CDCL search entry",
     "automata.determinize": "NFA.determinize — subset construction",
     "automata.intersect": "NFA.intersect — product construction",
-    "lia.pivot": "Simplex._pivot — tableau pivot",
+    "lia.pivot": "PackedSimplex._pivot — tableau pivot",
     "lia.check": "IntegerSolver.check — branch-and-bound entry",
     "flatten.fragment": "Flattener.fragments — per-fragment flattening",
     "strategy.restrict": "build_restriction — PFA selection",

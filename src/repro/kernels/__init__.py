@@ -1,126 +1,22 @@
-"""Packed numeric kernels behind a runtime backend selector.
+"""Flat-array kernels for the solver's three dominant inner loops.
 
-The three dominant inner loops of the solver — CDCL unit propagation,
-simplex pivoting, and the automata product/subset constructions — exist
-in two interchangeable implementations:
+* :mod:`repro.kernels.sat` — CDCL unit propagation over one int clause
+  arena with index-array watch lists (:class:`PackedSatSolver`);
+* :mod:`repro.kernels.simplex` — Bland's-rule pivoting over dense
+  integer rows with a per-row denominator (:class:`PackedSimplex`);
+* :mod:`repro.kernels.automata` — subset construction over int bitmasks
+  and product constructions over int pair codes.
 
-* ``pure`` — the original object-graph code (``repro.sat.solver``,
-  ``repro.lia.simplex``, the dict/frozenset loops in
-  ``repro.automata.nfa`` and ``repro.core.sync``).  Always available;
-  the reference implementation every packed kernel is differentially
-  tested against.
-* ``packed`` — flat-array rewrites in this package
-  (:mod:`repro.kernels.sat`, :mod:`repro.kernels.simplex`,
-  :mod:`repro.kernels.automata`): clause literals live in one int arena
-  with index-array watch lists, tableau rows are dense integer vectors
-  with a per-row denominator, and determinization runs over int
-  bitmasks.  Answers are bit-identical to ``pure`` (the automata
-  kernels even produce structurally identical NFAs, so the memoization
-  caches are shared between backends).
-
-Selection, most specific wins:
-
-1. ``SolverConfig.backend`` (``"pure"`` / ``"packed"`` / ``"auto"``) —
-   :class:`~repro.core.solver.TrauSolver` activates it for the whole
-   solve, so spawned serve workers follow their pickled config;
-2. the ``REPRO_BACKEND`` environment variable (same values);
-3. ``auto`` — ``packed`` when importable, ``pure`` otherwise.
-
-The pure backend can never be unavailable, so resolution always
-succeeds; a broken packed import degrades to ``pure`` (and the
-degradation ladder's ``minimal`` rung pins ``pure`` explicitly, so a
-packed-kernel bug on one rung cannot poison the retries).
+Each loop has exactly this one implementation.  ``tests/test_kernels.py``
+checks them against small references: a truth-table SAT oracle, an exact
+Fourier-Motzkin feasibility check, and word-by-word language equality.
 """
-
-import os
-from contextlib import contextmanager
-
-PURE = "pure"
-PACKED = "packed"
-AUTO = "auto"
-BACKENDS = (PURE, PACKED)
-
-_ENV_VAR = "REPRO_BACKEND"
-_packed_ok = None       # tri-state import probe: None = not yet probed
-_stack = []             # active-backend stack (use_backend)
-
-
-def packed_available():
-    """Can the packed kernels be imported on this interpreter?"""
-    global _packed_ok
-    if _packed_ok is None:
-        try:
-            from repro.kernels import sat, simplex, automata  # noqa: F401
-            _packed_ok = True
-        except ImportError:
-            _packed_ok = False
-    return _packed_ok
 
 
 def resolve(name=None):
-    """Resolve a backend request to a concrete backend name.
+    """Always ``"packed"``, the name of the only kernel set.
 
-    ``None``/``"auto"``/``""`` consult :data:`_ENV_VAR` and fall back to
-    auto-detection; ``"packed"`` degrades to ``"pure"`` when the packed
-    kernels cannot be imported; anything else raises ``ValueError``.
+    Kept for callers that record which kernels a run used (the benchmark
+    harness writes it into its result documents); *name* is ignored.
     """
-    if not name or name == AUTO:
-        name = os.environ.get(_ENV_VAR, "").strip().lower() or AUTO
-        if name not in BACKENDS:
-            name = PACKED if packed_available() else PURE
-    if name not in BACKENDS:
-        raise ValueError("unknown kernel backend %r (want %s or %r)"
-                         % (name, "/".join(BACKENDS), AUTO))
-    if name == PACKED and not packed_available():
-        return PURE
-    return name
-
-
-def active():
-    """The backend in effect right now (innermost :func:`use_backend`)."""
-    if _stack:
-        return _stack[-1]
-    return resolve(None)
-
-
-@contextmanager
-def use_backend(name):
-    """Activate backend *name* (resolved) for the dynamic extent."""
-    _stack.append(resolve(name))
-    try:
-        yield _stack[-1]
-    finally:
-        _stack.pop()
-
-
-# -- factories ---------------------------------------------------------------
-
-
-def _pick(backend):
-    """Concrete backend for a factory request: an explicit "pure"/
-    "packed" wins; None/"auto" defer to the ambient active backend."""
-    if backend and backend != AUTO:
-        return resolve(backend)
-    return active()
-
-
-def sat_solver(backend=None):
-    """A fresh SAT solver for *backend* (default: the active one)."""
-    if _pick(backend) == PACKED:
-        from repro.kernels.sat import PackedSatSolver
-        return PackedSatSolver()
-    from repro.sat.solver import SatSolver
-    return SatSolver()
-
-
-def simplex_solver(backend=None):
-    """A fresh simplex tableau for *backend* (default: the active one).
-
-    (Not named ``simplex``: importing the :mod:`repro.kernels.simplex`
-    submodule would rebind that package attribute to the module.)
-    """
-    if _pick(backend) == PACKED:
-        from repro.kernels.simplex import PackedSimplex
-        return PackedSimplex()
-    from repro.lia.simplex import Simplex
-    return Simplex()
+    return "packed"

@@ -1,31 +1,26 @@
-"""Bitset automata constructions (the ``packed`` backend).
+"""Bitset automata constructions.
 
-Drop-in inner loops for :meth:`repro.automata.nfa.NFA.determinize`,
+The inner loops of :meth:`repro.automata.nfa.NFA.determinize`,
 :meth:`~repro.automata.nfa.NFA.intersect` and
 :func:`repro.core.sync.asynchronous_product`:
 
-* **determinize** — a subset of NFA states is one Python int bitmask
-  instead of a ``frozenset``; the successor set under a symbol is an
-  OR-fold of precomputed per-symbol successor masks over the set bits,
-  so the inner loop is integer AND/OR/shift with no hashing of sets;
+* **determinize** — a subset of NFA states is one Python int bitmask;
+  the successor set under a symbol is an OR-fold of precomputed
+  per-symbol successor masks over the set bits, so the inner loop is
+  integer AND/OR/shift with no hashing of sets;
 * **intersect / asynchronous product** — product states are single int
-  pair codes (``p * n_right + q``) instead of tuples, symbols and labels
-  are interned to small ints, and label-pair compatibility is evaluated
-  once per *label* pair up front instead of once per *state* pair in the
-  BFS (the pure product re-derives it millions of times).
+  pair codes (``p * n_right + q``), symbols and labels are interned to
+  small ints, and label-pair compatibility is evaluated once per *label*
+  pair up front instead of once per *state* pair in the BFS.
 
 Every function returns raw ``(num_states, transitions, finals)`` data —
-the callers build the :class:`~repro.automata.nfa.NFA` — and traverses
-in exactly the pure loop's discovery order, so the resulting automata
-are structurally identical to the pure backend's (same state numbering,
-same transition order).  That makes the shared fingerprint-keyed LRU
-caches backend-agnostic: a result cached under one backend is the
-*same* NFA the other would have built.
+the callers build the :class:`~repro.automata.nfa.NFA` — and explores
+breadth-first from state 0, so equal inputs always give the same state
+numbering and the fingerprint-keyed LRU caches see equal results.
 
-Budget semantics are preserved verbatim: the state-count guard is an
-exact per-state compare, the wall-clock check fires every 64 expansions,
-and the :class:`~repro.errors.ResourceLimit` reasons match the pure
-messages.
+Budgets: the state-count guard is an exact per-state compare, the
+wall-clock check fires every 64 expansions, and both raise an
+attributable :class:`~repro.errors.ResourceLimit`.
 """
 
 from collections import deque
@@ -37,7 +32,7 @@ def determinize_packed(base, alphabet, deadline=None):
     """Subset construction over int bitmasks.
 
     *base* must be epsilon-free and *alphabet* already sorted (the
-    caller normalizes both, exactly as for the pure construction).
+    caller normalizes both).
     Returns ``(num_states, transitions, finals)``.
     """
     n = base.num_states

@@ -1,9 +1,10 @@
-"""Arena-packed CDCL SAT solver (the ``packed`` backend).
+"""Arena-packed CDCL SAT solver, the boolean engine of the SMT core.
 
-Same algorithm and same answers as :class:`repro.sat.solver.SatSolver`
-(two-watched-literal propagation, first-UIP learning with minimization,
-VSIDS, phase saving, Luby restarts, MiniSat-style assumptions), but the
-hot-path data lives in flat index arrays instead of an object graph:
+Two-watched-literal propagation, first-UIP learning with minimization,
+VSIDS, phase saving, Luby restarts and MiniSat-style assumptions.  The
+solver is incremental in the sense lazy SMT needs: clauses may be added
+between ``solve()`` calls.  The hot-path data lives in flat index arrays
+rather than an object graph:
 
 * **clause arena** — every clause is a length-prefixed slice of one flat
   int list; a clause reference is the index of its first literal, so the
@@ -26,10 +27,8 @@ and, once dead slices exceed half the arena, compacts it — rewriting
 clause references in the watch lists *and* in the reason array, so
 conflict analysis never follows a stale reference.
 
-Differential guarantee: for any clause/assumption sequence the verdicts
-match the pure solver's, and SAT models satisfy the same clause set
-(``tests/test_kernels.py`` property-checks this; model *values* may
-differ, as for any two correct SAT solvers).
+``tests/test_kernels.py`` checks verdicts, assumption runs and
+incremental batches against a truth-table oracle.
 """
 
 from heapq import heapify, heappop, heappush
@@ -162,8 +161,8 @@ class PackedSatSolver:
     def _propagate(self):
         """Unit propagation; returns a conflicting clause ref or 0.
 
-        The hottest loop in the packed backend: every memory access is a
-        list indexing into the arena or a per-variable array.
+        The hottest loop of the solver: every memory access is a list
+        indexing into the arena or a per-variable array.
         """
         arena = self._arena
         assign = self._assign
@@ -378,9 +377,9 @@ class PackedSatSolver:
     def propagate_assumptions(self, assumptions):
         """Literals implied by unit propagation under *assumptions*.
 
-        Same contract as the pure solver: returns the propagated trail,
-        or ``None`` when propagation alone refutes the assumptions
-        (with :attr:`_ok` still True) or the solver is globally unsat.
+        Returns the propagated trail, or ``None`` when propagation alone
+        refutes the assumptions (with :attr:`_ok` still True) or the
+        solver is globally unsat.
         """
         if not self._ok:
             return None
@@ -407,10 +406,12 @@ class PackedSatSolver:
     def solve(self, deadline=None, conflict_limit=None, assumptions=None):
         """Run the CDCL loop; returns SAT, UNSAT or UNKNOWN (budget).
 
-        Assumption semantics match the pure solver: pseudo-decisions at
-        levels ``1..k``, UNSAT means "inconsistent with the assumptions"
-        and the solver stays usable (only a level-zero conflict marks it
-        permanently unsat).
+        *assumptions* is a sequence of literals treated as pseudo-decisions
+        at levels ``1..k`` (MiniSat style): a SAT answer satisfies all of
+        them, an UNSAT answer means the clause set is inconsistent *with
+        the assumptions* — the solver itself stays usable, keeping every
+        learnt clause, which is what makes incremental SMT sessions cheap.
+        Only a conflict at level zero marks the solver permanently unsat.
         """
         if _faults.ARMED:
             _faults.point("sat.solve")
@@ -468,8 +469,11 @@ class PackedSatSolver:
                         self._reduce_learnts()
                 else:
                     if len(self._trail_lim) < len(assumptions):
-                        # Place the next assumption as a pseudo-decision
-                        # (see the pure solver for the level bookkeeping).
+                        # Place the next assumption as a pseudo-decision.
+                        # Restarts backtrack to level 0, so placement
+                        # simply re-runs; an already-true assumption gets
+                        # an empty level, keeping "assumption i is the
+                        # decision of level i+1" for conflict analysis.
                         lit = assumptions[len(self._trail_lim)]
                         value = self._value(lit)
                         if value is False:

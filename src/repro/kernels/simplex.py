@@ -1,7 +1,15 @@
-"""Flat-indexed integer simplex (the ``packed`` backend).
+"""Flat-indexed exact simplex for bound-form linear constraints.
 
-Same Dutertre–de Moura bound-form tableau and Bland's-rule pivoting as
-:class:`repro.lia.simplex.Simplex`, restructured for speed:
+The tableau follows Dutertre and de Moura's *A Fast Linear-Arithmetic
+Solver for DPLL(T)*: every constraint ``sum c_i x_i <= k`` becomes a
+slack variable ``s = sum c_i x_i`` with the bound ``s <= k``.  Rows are
+defined once, up front; bounds are asserted and retracted incrementally
+between ``check()`` calls, and Bland's rule guarantees that ``check``
+terminates.  Each asserted bound carries an opaque *tag* (the SMT layer
+passes SAT literals); infeasibility produces the tags whose bounds take
+part in the conflict, which becomes a theory lemma.
+
+The data layout is chosen for speed:
 
 * **interned variables** — names are mapped to dense ints at
   ``add_variable`` time, so the interned index *is* Bland's insertion
@@ -9,21 +17,18 @@ Same Dutertre–de Moura bound-form tableau and Bland's-rule pivoting as
   list indexing instead of a string-keyed dict probe;
 * **integer rows** — a row is stored as integer numerators plus one
   positive per-row denominator (``coeff = num/den``), so pivot
-  substitution is pure ``int`` multiply/add with a lazy gcd reduction,
-  never :class:`~fractions.Fraction` arithmetic (the pure tableau pays
-  Fraction boxing whenever a pivot leaves a non-integral coefficient);
-* **min-scan selection** — the pure ``check()`` re-sorts the basic set
-  and the pivot row *every iteration* to apply Bland's rule; here both
-  the violated row and the entering variable are single-pass minimum
-  scans over interned indices, which selects the identical pivot.
+  substitution is plain ``int`` multiply/add with a lazy gcd reduction,
+  never :class:`~fractions.Fraction` arithmetic;
+* **min-scan selection** — both the violated row and the entering
+  variable are single-pass minimum scans over interned indices, which
+  is Bland's choice without sorting the basic set every iteration.
 
-Exact-rational semantics are unchanged: variable values are plain ints
-with :class:`~fractions.Fraction` fallback (callers branch on
-``value.denominator``), bound asserts/conflicts/explanations mirror the
-pure code path for path, and ``check`` answers "sat"/"unsat" with the
-same tag sets.  A per-row denominator also sidesteps fixed-width
-overflow entirely — ``toNum`` rows carry coefficients like ``10**39``,
-which is why an int64/numpy fast path was measured and rejected.
+Semantics stay exact-rational: variable values are plain ints with
+:class:`~fractions.Fraction` fallback (callers branch on
+``value.denominator``).  A per-row denominator also sidesteps
+fixed-width overflow entirely — ``toNum`` rows carry coefficients like
+``10**39``, which is why an int64/numpy fast path was measured and
+rejected.
 """
 
 from fractions import Fraction
@@ -264,9 +269,8 @@ class PackedSimplex:
                     and deadline.expired():
                 raise ResourceLimit("simplex deadline expired",
                                     reason="deadline")
-            # Bland's rule, without the per-iteration sort the pure
-            # solver pays: a single min-scan over interned indices
-            # picks the identical (first-in-order) violated row.
+            # Bland's rule as a single min-scan over interned indices:
+            # the first-in-order violated row, with no per-iteration sort.
             violated = None
             below = False
             for bi in rows:

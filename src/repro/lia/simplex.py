@@ -1,22 +1,12 @@
-"""Incremental rational simplex for bound-form linear constraints.
+"""Exact-rational helpers of the simplex tableau.
 
-The tableau follows Dutertre and de Moura's *A Fast Linear-Arithmetic Solver
-for DPLL(T)*: every constraint ``sum c_i x_i <= k`` is turned into a slack
-variable ``s = sum c_i x_i`` with the bound ``s <= k``.  Rows are defined
-once, up front; bounds are asserted and retracted incrementally between
-``check()`` calls.  Bland's rule guarantees termination of ``check``.
-
-Each asserted bound carries an opaque *tag* (the SMT layer passes SAT
-literals).  Infeasibility produces the set of tags whose bounds participate
-in the conflict, which becomes a theory lemma.
+The tableau itself is :class:`repro.kernels.simplex.PackedSimplex`, a
+Dutertre and de Moura bound-form simplex (*A Fast Linear-Arithmetic
+Solver for DPLL(T)*); this module keeps the exact-number helpers its
+pivots use.
 """
 
 from fractions import Fraction
-
-from repro import faults as _faults
-from repro.errors import ResourceLimit, SolverError
-
-SimplexResult = str    # "sat" | "unsat"
 
 
 def _norm(value):
@@ -40,245 +30,3 @@ def _exact_div(num, den):
             return num // den
         return Fraction(num, den)
     return _norm(num / den)
-
-
-class _Bound:
-    __slots__ = ("value", "tag")
-
-    def __init__(self, value, tag):
-        self.value = value
-        self.tag = tag
-
-
-class Simplex:
-    """Feasibility of conjunctions of bounds over linear rows."""
-
-    def __init__(self):
-        self._order = {}        # var -> insertion index (Bland's rule)
-        self._rows = {}         # basic var -> {nonbasic var: Fraction}
-        self._cols = {}         # var -> set of basic vars whose row uses it
-        self._value = {}        # var -> Fraction
-        self._lower = {}        # var -> _Bound
-        self._upper = {}        # var -> _Bound
-        self._trail = []        # (var, "lo"/"up", old _Bound or None)
-        self._marks = []
-        self.conflict = None    # list of tags after an unsat check
-        self.pivots = 0         # lifetime pivot count (repro.obs reads it)
-
-    # -- setup ----------------------------------------------------------------
-
-    def add_variable(self, var):
-        if var in self._order:
-            return
-        self._order[var] = len(self._order)
-        self._value[var] = 0
-        self._cols.setdefault(var, set())
-
-    def define(self, slack, coeffs):
-        """Introduce ``slack = sum coeffs[x] * x`` as a basic variable."""
-        if slack in self._order:
-            raise SolverError("variable %r already exists" % (slack,))
-        self.add_variable(slack)
-        row = {}
-        for x, c in coeffs.items():
-            if c == 0:
-                continue
-            if x not in self._order:
-                self.add_variable(x)
-            if x in self._rows:
-                # x is already basic: substitute its row.
-                for y, cy in self._rows[x].items():
-                    row[y] = row.get(y, 0) + c * cy
-            else:
-                row[x] = row.get(x, 0) + c
-        row = {x: _norm(c) for x, c in row.items() if c != 0}
-        self._rows[slack] = row
-        for x in row:
-            self._cols[x].add(slack)
-        self._value[slack] = _norm(sum(
-            c * self._value[x] for x, c in row.items()))
-
-    # -- bound assertion ---------------------------------------------------------
-
-    def push(self):
-        self._marks.append(len(self._trail))
-
-    def pop(self):
-        mark = self._marks.pop()
-        while len(self._trail) > mark:
-            var, side, old = self._trail.pop()
-            store = self._lower if side == "lo" else self._upper
-            if old is None:
-                del store[var]
-            else:
-                store[var] = old
-
-    def assert_lower(self, var, value, tag):
-        """Assert ``var >= value``; returns None or a conflict tag list."""
-        if not isinstance(value, int):
-            value = _norm(Fraction(value))
-        low = self._lower.get(var)
-        if low is not None and value <= low.value:
-            return None
-        up = self._upper.get(var)
-        if up is not None and value > up.value:
-            return [t for t in (tag, up.tag) if t is not None]
-        self._trail.append((var, "lo", low))
-        self._lower[var] = _Bound(value, tag)
-        if var not in self._rows and self._value[var] < value:
-            self._update(var, value)
-        return None
-
-    def assert_upper(self, var, value, tag):
-        """Assert ``var <= value``; returns None or a conflict tag list."""
-        if not isinstance(value, int):
-            value = _norm(Fraction(value))
-        up = self._upper.get(var)
-        if up is not None and value >= up.value:
-            return None
-        low = self._lower.get(var)
-        if low is not None and value < low.value:
-            return [t for t in (tag, low.tag) if t is not None]
-        self._trail.append((var, "up", up))
-        self._upper[var] = _Bound(value, tag)
-        if var not in self._rows and self._value[var] > value:
-            self._update(var, value)
-        return None
-
-    # -- tableau operations ---------------------------------------------------
-
-    def _update(self, nonbasic, value):
-        delta = value - self._value[nonbasic]
-        for basic in self._cols[nonbasic]:
-            self._value[basic] = _norm(
-                self._value[basic] + self._rows[basic][nonbasic] * delta)
-        self._value[nonbasic] = value
-
-    def _pivot_and_update(self, basic, nonbasic, value):
-        a = self._rows[basic][nonbasic]
-        theta = _exact_div(value - self._value[basic], a)
-        self._value[basic] = value
-        self._value[nonbasic] = _norm(self._value[nonbasic] + theta)
-        for other in self._cols[nonbasic]:
-            if other != basic:
-                self._value[other] = _norm(
-                    self._value[other]
-                    + self._rows[other][nonbasic] * theta)
-        self._pivot(basic, nonbasic)
-
-    def _pivot(self, basic, nonbasic):
-        if _faults.ARMED:
-            _faults.point("lia.pivot")
-        self.pivots += 1
-        row = self._rows.pop(basic)
-        a = row.pop(nonbasic)
-        for x in row:
-            self._cols[x].discard(basic)
-        self._cols[nonbasic].discard(basic)
-        # nonbasic = (basic - sum row)/a
-        new_row = {basic: _exact_div(1, a)}
-        for x, c in row.items():
-            new_row[x] = _exact_div(-c, a)
-        # Substitute into every other row that used `nonbasic`.
-        for other in list(self._cols[nonbasic]):
-            orow = self._rows[other]
-            factor = orow.pop(nonbasic)
-            self._cols[nonbasic].discard(other)
-            for x, c in new_row.items():
-                nc = _norm(orow.get(x, 0) + factor * c)
-                if nc == 0:
-                    if x in orow:
-                        del orow[x]
-                        self._cols[x].discard(other)
-                else:
-                    if x not in orow:
-                        self._cols[x].add(other)
-                    orow[x] = nc
-        self._rows[nonbasic] = new_row
-        for x in new_row:
-            self._cols[x].add(nonbasic)
-
-    # -- feasibility --------------------------------------------------------------
-
-    def check(self, deadline=None):
-        """Restore feasibility; "sat" or "unsat" (with ``self.conflict``)."""
-        self.conflict = None
-        steps = 0
-        while True:
-            steps += 1
-            if deadline is not None and steps % 256 == 0 and deadline.expired():
-                raise ResourceLimit("simplex deadline expired",
-                                    reason="deadline")
-            violated = None
-            below = False
-            for basic in sorted(self._rows, key=self._order.get):
-                value = self._value[basic]
-                low = self._lower.get(basic)
-                if low is not None and value < low.value:
-                    violated, below = basic, True
-                    break
-                up = self._upper.get(basic)
-                if up is not None and value > up.value:
-                    violated, below = basic, False
-                    break
-            if violated is None:
-                return "sat"
-            row = self._rows[violated]
-            entering = None
-            for x in sorted(row, key=self._order.get):
-                c = row[x]
-                if below:
-                    ok = (c > 0 and self._at_upper_slack(x)) or \
-                         (c < 0 and self._at_lower_slack(x))
-                else:
-                    ok = (c > 0 and self._at_lower_slack(x)) or \
-                         (c < 0 and self._at_upper_slack(x))
-                if ok:
-                    entering = x
-                    break
-            if entering is None:
-                self.conflict = self._explain(violated, below)
-                return "unsat"
-            target = (self._lower[violated].value if below
-                      else self._upper[violated].value)
-            self._pivot_and_update(violated, entering, target)
-
-    def _at_upper_slack(self, var):
-        """Can value of *var* still increase?"""
-        up = self._upper.get(var)
-        return up is None or self._value[var] < up.value
-
-    def _at_lower_slack(self, var):
-        """Can value of *var* still decrease?"""
-        low = self._lower.get(var)
-        return low is None or self._value[var] > low.value
-
-    def _explain(self, basic, below):
-        row = self._rows[basic]
-        tags = []
-        own = self._lower[basic] if below else self._upper[basic]
-        if own.tag is not None:
-            tags.append(own.tag)
-        for x, c in row.items():
-            if below:
-                bound = self._upper.get(x) if c > 0 else self._lower.get(x)
-            else:
-                bound = self._lower.get(x) if c > 0 else self._upper.get(x)
-            if bound is not None and bound.tag is not None:
-                tags.append(bound.tag)
-        return tags
-
-    # -- results --------------------------------------------------------------------
-
-    def values(self):
-        """Current variable valuation (meaningful after a "sat" check)."""
-        return dict(self._value)
-
-    def value(self, var):
-        return self._value[var]
-
-    def bounds(self, var):
-        low = self._lower.get(var)
-        up = self._upper.get(var)
-        return (None if low is None else low.value,
-                None if up is None else up.value)

@@ -1,5 +1,6 @@
-"""CDCL SAT solver used as the boolean engine of the SMT core."""
+"""Verdicts of the SAT layer; the CDCL solver is
+:class:`repro.kernels.sat.PackedSatSolver`."""
 
-from repro.sat.solver import SatSolver, SAT, UNSAT, UNKNOWN
+from repro.sat.solver import SAT, UNSAT, UNKNOWN
 
-__all__ = ["SatSolver", "SAT", "UNSAT", "UNKNOWN"]
+__all__ = ["SAT", "UNSAT", "UNKNOWN"]

@@ -1,32 +1,15 @@
-"""A conflict-driven clause-learning SAT solver.
+"""Shared constants of the CDCL SAT solver.
 
-Standard architecture: two-watched-literal propagation, first-UIP conflict
-analysis with clause minimization, VSIDS-style variable activities, phase
-saving, and Luby-sequence restarts.  The solver is incremental in the weak
-sense required by lazy SMT: clauses may be added between ``solve()`` calls.
+The solver itself is :class:`repro.kernels.sat.PackedSatSolver`; this
+module keeps the verdict strings and the Luby restart sequence it uses.
 
 Literals are non-zero integers (DIMACS convention): literal ``v`` asserts
 variable ``v`` true, ``-v`` asserts it false.
 """
 
-from heapq import heapify, heappop, heappush
-
-from repro import faults as _faults
-from repro.config import Deadline
-from repro.obs import current_metrics
-
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
-
-
-class _Clause:
-    __slots__ = ("lits", "learnt", "activity")
-
-    def __init__(self, lits, learnt=False):
-        self.lits = lits
-        self.learnt = learnt
-        self.activity = 0.0
 
 
 def _luby(i):
@@ -38,428 +21,3 @@ def _luby(i):
         if (1 << k) - 1 == i:
             return 1 << (k - 1)
         i = i - (1 << (k - 1)) + 1
-
-
-class SatSolver:
-    """CDCL solver over integer literals."""
-
-    def __init__(self):
-        self._num_vars = 0
-        self._clauses = []
-        self._learnts = []
-        self._watches = {}          # literal -> list of clauses watching it
-        self._assign = {}           # var -> bool
-        self._level = {}            # var -> decision level
-        self._reason = {}           # var -> implying clause (None = decision)
-        self._trail = []
-        self._trail_lim = []
-        self._queue_head = 0
-        self._activity = {}
-        self._var_inc = 1.0
-        self._var_decay = 0.95
-        self._cla_inc = 1.0
-        self._phase = {}
-        self._heap = []
-        self._ok = True
-        self._restart_count = 0
-        self._conflict_budget_check = 0
-
-    # -- construction -------------------------------------------------------
-
-    def ensure_var(self, var):
-        while self._num_vars < var:
-            self._num_vars += 1
-            v = self._num_vars
-            self._activity[v] = 0.0
-            self._phase[v] = False
-            heappush(self._heap, (0.0, v))
-            self._watches.setdefault(v, [])
-            self._watches.setdefault(-v, [])
-
-    def add_clause(self, lits):
-        """Add a clause; returns False if the solver became trivially unsat."""
-        if not self._ok:
-            return False
-        self._backtrack(0)
-        seen = set()
-        out = []
-        for lit in lits:
-            self.ensure_var(abs(lit))
-            if -lit in seen:
-                return True     # tautology
-            if lit in seen:
-                continue
-            value = self._value(lit)
-            if value is True and self._level.get(abs(lit), 0) == 0:
-                return True     # already satisfied at root
-            if value is False and self._level.get(abs(lit), 0) == 0:
-                continue        # falsified at root, drop literal
-            seen.add(lit)
-            out.append(lit)
-        if not out:
-            self._ok = False
-            return False
-        if len(out) == 1:
-            if not self._enqueue(out[0], None):
-                self._ok = False
-                return False
-            conflict = self._propagate()
-            if conflict is not None:
-                self._ok = False
-                return False
-            return True
-        clause = _Clause(out)
-        self._clauses.append(clause)
-        self._watch(clause)
-        return True
-
-    def _watch(self, clause):
-        self._watches[-clause.lits[0]].append(clause)
-        self._watches[-clause.lits[1]].append(clause)
-
-    # -- assignment ---------------------------------------------------------
-
-    def _value(self, lit):
-        v = self._assign.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
-    def _enqueue(self, lit, reason):
-        value = self._value(lit)
-        if value is not None:
-            return value
-        var = abs(lit)
-        self._assign[var] = lit > 0
-        self._level[var] = len(self._trail_lim)
-        self._reason[var] = reason
-        self._trail.append(lit)
-        return True
-
-    def _propagate(self):
-        """Unit propagation; returns a conflicting clause or None.
-
-        The inner loop hand-inlines ``_value`` and ``_enqueue`` — this is
-        the solver's hottest path and the call overhead is measurable.
-        """
-        assign = self._assign
-        watches = self._watches
-        trail = self._trail
-        while self._queue_head < len(trail):
-            lit = trail[self._queue_head]
-            self._queue_head += 1
-            watchers = watches[lit]
-            watches[lit] = []
-            i = 0
-            n = len(watchers)
-            while i < n:
-                clause = watchers[i]
-                i += 1
-                lits = clause.lits
-                # Ensure the falsified literal is at position 1.
-                if lits[0] == -lit:
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = lits[0]
-                v = assign.get(first if first > 0 else -first)
-                value = v if first > 0 or v is None else not v
-                if value is True:
-                    watches[lit].append(clause)
-                    continue
-                # Search for a new literal to watch.
-                found = False
-                for k in range(2, len(lits)):
-                    lk = lits[k]
-                    v = assign.get(lk if lk > 0 else -lk)
-                    if v is None or (v if lk > 0 else not v):
-                        lits[1], lits[k] = lits[k], lits[1]
-                        watches[-lits[1]].append(clause)
-                        found = True
-                        break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                watches[lit].append(clause)
-                if value is False:
-                    # Conflict: restore remaining watchers.
-                    watches[lit].extend(watchers[i:])
-                    self._queue_head = len(trail)
-                    return clause
-                var = first if first > 0 else -first
-                assign[var] = first > 0
-                self._level[var] = len(self._trail_lim)
-                self._reason[var] = clause
-                trail.append(first)
-        return None
-
-    def _backtrack(self, level):
-        if len(self._trail_lim) <= level:
-            return
-        limit = self._trail_lim[level]
-        for lit in reversed(self._trail[limit:]):
-            var = abs(lit)
-            self._phase[var] = self._assign[var]
-            del self._assign[var]
-            del self._level[var]
-            self._reason.pop(var, None)
-            heappush(self._heap, (-self._activity[var], var))
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._queue_head = len(self._trail)
-
-    # -- conflict analysis ----------------------------------------------------
-
-    def _bump_var(self, var):
-        self._activity[var] += self._var_inc
-        if var not in self._assign:
-            heappush(self._heap, (-self._activity[var], var))
-        if self._activity[var] > 1e100:
-            for v in self._activity:
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-            self._heap = [(-self._activity[v], v)
-                          for _, v in self._heap if v not in self._assign]
-            heapify(self._heap)
-
-    def _analyze(self, conflict):
-        """First-UIP learning; returns (learnt_lits, backtrack_level)."""
-        current_level = len(self._trail_lim)
-        seen = set()
-        learnt = [None]     # slot 0 for the asserting literal
-        counter = 0
-        lit = None
-        reason = conflict
-        index = len(self._trail)
-        while True:
-            for q in reason.lits:
-                if q == lit:
-                    continue
-                var = abs(q)
-                if var in seen or self._level[var] == 0:
-                    continue
-                seen.add(var)
-                self._bump_var(var)
-                if self._level[var] == current_level:
-                    counter += 1
-                else:
-                    learnt.append(q)
-            # Pick the next trail literal to resolve on.
-            while True:
-                index -= 1
-                lit = self._trail[index]
-                if abs(lit) in seen:
-                    break
-            counter -= 1
-            seen.discard(abs(lit))
-            if counter == 0:
-                break
-            reason = self._reason[abs(lit)]
-        learnt[0] = -lit
-
-        # Clause minimization: drop literals implied by the rest.
-        marked = set(abs(l) for l in learnt[1:])
-        kept = [learnt[0]]
-        for q in learnt[1:]:
-            reason = self._reason.get(abs(q))
-            if reason is None:
-                kept.append(q)
-                continue
-            redundant = all(
-                self._level[abs(r)] == 0 or abs(r) in marked or abs(r) in seen
-                for r in reason.lits if abs(r) != abs(q))
-            if not redundant:
-                kept.append(q)
-        learnt = kept
-
-        if len(learnt) == 1:
-            return learnt, 0
-        # Backtrack level: highest level among non-asserting literals.
-        max_i = 1
-        for i in range(2, len(learnt)):
-            if self._level[abs(learnt[i])] > self._level[abs(learnt[max_i])]:
-                max_i = i
-        learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self._level[abs(learnt[1])]
-
-    # -- decisions --------------------------------------------------------------
-
-    def _decide(self):
-        while self._heap:
-            _, v = heappop(self._heap)
-            if v not in self._assign:
-                return v if self._phase[v] else -v
-        # The heap is lazy; fall back to a scan to be safe.
-        for v in range(1, self._num_vars + 1):
-            if v not in self._assign:
-                return v if self._phase[v] else -v
-        return 0
-
-    # -- main loop ----------------------------------------------------------------
-
-    def simplify(self):
-        """Propagate at the root level; False if the instance is unsat."""
-        if not self._ok:
-            return False
-        self._backtrack(0)
-        if self._propagate() is not None:
-            self._ok = False
-            return False
-        return True
-
-    def level0_literals(self):
-        """Literals forced at decision level zero (call after simplify)."""
-        if self._trail_lim:
-            limit = self._trail_lim[0]
-            return list(self._trail[:limit])
-        return list(self._trail)
-
-    def propagate_assumptions(self, assumptions):
-        """Literals implied by unit propagation under *assumptions*.
-
-        Places the assumptions like :meth:`solve` but performs no search,
-        then undoes everything.  Returns the propagated trail (including
-        level-zero facts and the assumptions themselves), or ``None`` when
-        propagation alone refutes the assumptions (check :attr:`_ok` —
-        still ``True`` — to tell assumption-UNSAT from global UNSAT).
-        """
-        if not self._ok:
-            return None
-        self._backtrack(0)
-        if self._propagate() is not None:
-            self._ok = False
-            return None
-        for lit in assumptions:
-            self.ensure_var(abs(lit))
-            value = self._value(lit)
-            if value is False:
-                self._backtrack(0)
-                return None
-            self._trail_lim.append(len(self._trail))
-            if value is None:
-                self._enqueue(lit, None)
-                if self._propagate() is not None:
-                    self._backtrack(0)
-                    return None
-        implied = list(self._trail)
-        self._backtrack(0)
-        return implied
-
-    def solve(self, deadline=None, conflict_limit=None, assumptions=None):
-        """Run the CDCL loop; returns SAT, UNSAT or UNKNOWN (budget).
-
-        *assumptions* is a sequence of literals treated as pseudo-decisions
-        at levels ``1..k`` (MiniSat style): a SAT answer satisfies all of
-        them, an UNSAT answer means the clause set is inconsistent *with
-        the assumptions* — the solver itself stays usable, keeping every
-        learnt clause, which is what makes incremental SMT sessions cheap.
-        Only a conflict at level zero marks the solver permanently unsat.
-        """
-        if _faults.ARMED:
-            _faults.point("sat.solve")
-        if deadline is None:
-            deadline = Deadline.unbounded()
-        assumptions = list(assumptions or ())
-        if not self._ok:
-            return UNSAT
-        self._backtrack(0)
-        for lit in assumptions:
-            self.ensure_var(abs(lit))
-        conflict = self._propagate()
-        if conflict is not None:
-            self._ok = False
-            return UNSAT
-
-        conflicts_total = 0
-        decisions = 0
-        restarts = 0
-        luby_index = 1
-        restart_limit = 32 * _luby(luby_index)
-        conflicts_since_restart = 0
-
-        # Counts stay in local integers during the search (this is the
-        # hottest loop in the repo) and are reported once on the way out.
-        try:
-            while True:
-                conflict = self._propagate()
-                if conflict is not None:
-                    conflicts_total += 1
-                    conflicts_since_restart += 1
-                    if conflict_limit is not None \
-                            and conflicts_total > conflict_limit:
-                        return UNKNOWN
-                    if conflicts_total % 64 == 0 and deadline.expired():
-                        return UNKNOWN
-                    if not self._trail_lim:
-                        self._ok = False
-                        return UNSAT
-                    learnt, back_level = self._analyze(conflict)
-                    self._backtrack(back_level)
-                    if len(learnt) == 1:
-                        self._enqueue(learnt[0], None)
-                    else:
-                        clause = _Clause(learnt, learnt=True)
-                        self._learnts.append(clause)
-                        self._watch(clause)
-                        self._enqueue(learnt[0], clause)
-                    self._var_inc /= self._var_decay
-                    if conflicts_since_restart >= restart_limit:
-                        conflicts_since_restart = 0
-                        restarts += 1
-                        luby_index += 1
-                        restart_limit = 32 * _luby(luby_index)
-                        self._backtrack(0)
-                    if len(self._learnts) > 2000 + 4 * len(self._clauses):
-                        self._reduce_learnts()
-                else:
-                    if len(self._trail_lim) < len(assumptions):
-                        # Place the next assumption as a pseudo-decision.
-                        # Restarts backtrack to level 0, so placement
-                        # simply re-runs; an already-true assumption gets
-                        # an empty level, keeping "assumption i is the
-                        # decision of level i+1" for conflict analysis.
-                        lit = assumptions[len(self._trail_lim)]
-                        value = self._value(lit)
-                        if value is False:
-                            self._backtrack(0)
-                            return UNSAT
-                        self._trail_lim.append(len(self._trail))
-                        if value is None:
-                            self._enqueue(lit, None)
-                        continue
-                    lit = self._decide()
-                    if lit == 0:
-                        return SAT
-                    decisions += 1
-                    self._trail_lim.append(len(self._trail))
-                    self._enqueue(lit, None)
-        finally:
-            metrics = current_metrics()
-            if metrics.enabled:
-                metrics.add("sat.conflicts", conflicts_total)
-                metrics.add("sat.decisions", decisions)
-                metrics.add("sat.restarts", restarts)
-                metrics.gauge("sat.learnts", len(self._learnts))
-
-    def _reduce_learnts(self):
-        """Throw away half of the learnt clauses (longest first)."""
-        locked = set()
-        for var, reason in self._reason.items():
-            if reason is not None:
-                locked.add(id(reason))
-        self._learnts.sort(key=lambda c: len(c.lits))
-        keep = self._learnts[: len(self._learnts) // 2]
-        drop = self._learnts[len(self._learnts) // 2:]
-        kept_drop = [c for c in drop if id(c) in locked or len(c.lits) <= 2]
-        dropped = set(id(c) for c in drop if id(c) not in locked and len(c.lits) > 2)
-        self._learnts = keep + kept_drop
-        for lit in list(self._watches):
-            self._watches[lit] = [c for c in self._watches[lit]
-                                  if id(c) not in dropped]
-
-    # -- results ------------------------------------------------------------------
-
-    def model(self):
-        """Variable -> bool map after a SAT answer (unassigned vars False)."""
-        model = {}
-        for v in range(1, self._num_vars + 1):
-            model[v] = self._assign.get(v, False)
-        return model

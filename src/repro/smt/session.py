@@ -6,8 +6,9 @@ round formulas that share most of their structure (a refinement round only
 replaces the fragments whose PFA grew).  An :class:`IncrementalSmtSession`
 exploits that:
 
-* one :class:`~repro.sat.SatSolver` lives for the whole session, so learnt
-  clauses, variable activities and saved phases carry over between rounds;
+* one :class:`~repro.kernels.sat.PackedSatSolver` lives for the whole
+  session, so learnt clauses, variable activities and saved phases carry
+  over between rounds;
 * one :class:`~repro.logic.cnf.AtomRegistry` plus a persistent Tseitin
   node cache keep atom-to-variable numbering stable, so an atom shared by
   two rounds is *the same* SAT variable in both;
@@ -39,6 +40,7 @@ them too.
 from repro import faults as _faults
 from repro.config import Deadline, DEFAULT_CONFIG
 from repro.errors import SolverError
+from repro.kernels.sat import PackedSatSolver
 from repro.lia.branch_bound import IntegerSolver
 from repro.logic.cnf import AtomRegistry, encode_into
 from repro.logic.formula import BoolConst, atoms_of, nnf, variables_of
@@ -46,7 +48,6 @@ from math import inf
 
 from repro.logic.presolve import collect_bounds, presolve, reconstruct_model
 from repro.obs import current_metrics, current_tracer
-from repro import kernels as _kernels
 from repro.sat import SAT, UNSAT
 from repro.smt.solver import SmtResult, corrupt_result
 
@@ -63,7 +64,7 @@ class IncrementalSmtSession:
     def __init__(self, config=None):
         self.config = config or DEFAULT_CONFIG
         self.registry = AtomRegistry()
-        self.sat = _kernels.sat_solver(getattr(self.config, "backend", None))
+        self.sat = PackedSatSolver()
         self._encode_cache = {}
         self._fragments = {}            # key -> _Fragment
         # key -> (raw, raw_vars, own_bounds, reduced, steps, eliminated,

@@ -23,12 +23,12 @@ only rules out theory-inconsistent assignments.
 from repro import faults as _faults
 from repro.config import Deadline, DEFAULT_CONFIG
 from repro.errors import SolverError
+from repro.kernels.sat import PackedSatSolver
 from repro.lia.branch_bound import IntegerSolver
 from repro.logic.cnf import tseitin
 from repro.logic.formula import BoolConst, variables_of
 from repro.logic.presolve import presolve, reconstruct_model
 from repro.obs import current_metrics, current_tracer
-from repro import kernels as _kernels
 from repro.sat import SAT, UNSAT
 
 
@@ -105,7 +105,7 @@ def _solve_formula(formula, deadline, config, simplify, tracer):
     if metrics.enabled:
         metrics.observe("smt.vars", len(all_vars))
         metrics.observe("smt.clauses", len(clauses))
-    sat = _kernels.sat_solver()
+    sat = PackedSatSolver()
     sat.ensure_var(registry.variable_count)
     for clause in clauses:
         if not sat.add_clause(clause):

@@ -46,7 +46,7 @@ class NumSemantics:
     complement range, ``saturate`` clamps to that range.  Exponents above
     ``exp_max`` denote values too large to materialize: zero mantissa still
     gives 0, otherwise ``saturate`` clamps by sign and both ``error`` and
-    ``bignum`` yield ``error_value`` (a bignum backend would represent the
+    ``bignum`` yield ``error_value`` (a bignum encoding would represent the
     value, but the flatten rule must stay linear, so the divergence is part
     of the declared semantics rather than an approximation).
     """

@@ -69,3 +69,22 @@ class TestCli:
         b.equal((x,), ('a"b',))
         text = format_model(b.problem, {"x": 'a"b'})
         assert '"a""b"' in text
+
+    def test_missing_input_file_is_a_one_line_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.smt2"
+        assert main([str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro: %s: No such file or directory" % missing]
+
+    def test_unwritable_trace_json_is_a_one_line_error(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "input.smt2"
+        path.write_text(SAT_SCRIPT)
+        target = tmp_path / "no" / "such" / "dir" / "t.json"
+        assert main([str(path), "--trace-json", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro: %s: No such file or directory" % target]

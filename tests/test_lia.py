@@ -5,13 +5,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from repro.lia.branch_bound import IntegerSolver, solve_atoms
-from repro.lia.simplex import Simplex
+from repro.kernels.simplex import PackedSimplex
 from repro.logic.terms import var
 
 
 class TestSimplex:
     def test_feasible_bounds(self):
-        s = Simplex()
+        s = PackedSimplex()
         s.add_variable("x")
         s.define("s1", {"x": 2})
         assert s.assert_lower("x", 1, "a") is None
@@ -20,7 +20,7 @@ class TestSimplex:
         assert 1 <= s.value("x") <= 5
 
     def test_immediate_bound_clash(self):
-        s = Simplex()
+        s = PackedSimplex()
         s.add_variable("x")
         assert s.assert_lower("x", 5, "lo") is None
         conflict = s.assert_upper("x", 4, "up")
@@ -28,7 +28,7 @@ class TestSimplex:
 
     def test_row_conflict_explanation(self):
         # x + y <= 2 with x >= 2, y >= 2 is infeasible.
-        s = Simplex()
+        s = PackedSimplex()
         s.define("r", {"x": 1, "y": 1})
         assert s.assert_upper("r", 2, "sum") is None
         assert s.assert_lower("x", 2, "x2") is None
@@ -37,7 +37,7 @@ class TestSimplex:
         assert set(s.conflict) == {"sum", "x2", "y2"}
 
     def test_push_pop_restores_feasibility(self):
-        s = Simplex()
+        s = PackedSimplex()
         s.define("r", {"x": 1, "y": -1})
         s.assert_upper("r", 0, "a")      # x <= y
         assert s.check() == "sat"
@@ -58,7 +58,7 @@ class TestSimplex:
 
     def test_fractional_vertex(self):
         # 2x = 1 is rationally feasible at x = 1/2.
-        s = Simplex()
+        s = PackedSimplex()
         s.define("r", {"x": 2})
         s.assert_lower("r", 1, None)
         s.assert_upper("r", 1, None)

@@ -5,7 +5,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sat import SatSolver, SAT, UNSAT
+from repro.kernels.sat import PackedSatSolver
+from repro.sat import SAT, UNSAT
 
 
 def brute_force(clauses, num_vars):
@@ -17,7 +18,7 @@ def brute_force(clauses, num_vars):
 
 
 def run_solver(clauses):
-    solver = SatSolver()
+    solver = PackedSatSolver()
     for clause in clauses:
         if not solver.add_clause(clause):
             return UNSAT, None
@@ -27,7 +28,7 @@ def run_solver(clauses):
 
 class TestBasics:
     def test_empty_problem_is_sat(self):
-        solver = SatSolver()
+        solver = PackedSatSolver()
         assert solver.solve() == SAT
 
     def test_unit_clauses(self):
@@ -73,7 +74,7 @@ class TestBasics:
                    for c in clauses)
 
     def test_incremental_clause_addition(self):
-        solver = SatSolver()
+        solver = PackedSatSolver()
         solver.add_clause([1, 2])
         assert solver.solve() == SAT
         solver.add_clause([-1])
@@ -83,7 +84,7 @@ class TestBasics:
         assert solver.solve() == UNSAT
 
     def test_level0_literals_after_simplify(self):
-        solver = SatSolver()
+        solver = PackedSatSolver()
         solver.add_clause([1])
         solver.add_clause([-1, 2])
         assert solver.simplify()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from repro.lia.simplex import Simplex
+from repro.kernels.simplex import PackedSimplex
 
 
 @st.composite
@@ -36,7 +36,7 @@ def scipy_feasible(num_vars, rows, box=50):
 
 
 def simplex_feasible(num_vars, rows, box=50):
-    s = Simplex()
+    s = PackedSimplex()
     names = ["x%d" % i for i in range(num_vars)]
     for name in names:
         s.add_variable(name)

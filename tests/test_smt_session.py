@@ -9,19 +9,20 @@ from repro.logic import conj, eq, ge, le, ne
 from repro.logic.formula import evaluate
 from repro.logic.terms import var
 from repro.obs import Metrics, scope
-from repro.sat.solver import SAT, UNSAT, SatSolver
+from repro.kernels.sat import PackedSatSolver
+from repro.sat import SAT, UNSAT
 from repro.smt import IncrementalSmtSession, solve_formula
 
 X, Y, Z = var("x"), var("y"), var("z")
 NAMES = ("x", "y", "z")
 
 
-# -- SatSolver under assumptions ---------------------------------------------
+# -- PackedSatSolver under assumptions ---------------------------------------
 
 
 class TestSolveUnderAssumptions:
     def test_assumption_flips_outcome(self):
-        sat = SatSolver()
+        sat = PackedSatSolver()
         sat.add_clause([1, 2])
         sat.add_clause([-1, 2])
         assert sat.solve(assumptions=[-2]) == UNSAT
@@ -30,21 +31,21 @@ class TestSolveUnderAssumptions:
         assert sat.solve() == SAT
 
     def test_assumptions_respected_in_model(self):
-        sat = SatSolver()
+        sat = PackedSatSolver()
         sat.add_clause([1, 2, 3])
         assert sat.solve(assumptions=[-1, -3]) == SAT
         model = sat.model()
         assert model[1] is False and model[3] is False and model[2] is True
 
     def test_global_unsat_is_permanent(self):
-        sat = SatSolver()
+        sat = PackedSatSolver()
         sat.add_clause([1])
         sat.add_clause([-1])
         assert sat.solve(assumptions=[2]) == UNSAT
         assert not sat._ok or sat.solve() == UNSAT
 
     def test_propagate_assumptions_yields_implied(self):
-        sat = SatSolver()
+        sat = PackedSatSolver()
         sat.add_clause([-1, 2])
         sat.add_clause([-2, 3])
         implied = sat.propagate_assumptions([1])
@@ -52,7 +53,7 @@ class TestSolveUnderAssumptions:
         assert {1, 2, 3} <= set(implied)
 
     def test_propagate_assumptions_conflict(self):
-        sat = SatSolver()
+        sat = PackedSatSolver()
         sat.add_clause([-1, 2])
         sat.add_clause([-2, -1])
         assert sat.propagate_assumptions([1]) is None
